@@ -16,6 +16,7 @@ a catastrophic kernel regression without being hostage to CI hardware.
 import time
 
 from conftest import report, run_once
+from tests.heap_oracle import HeapSimulator
 
 from repro.engine import Resource, Signal, Simulator, delay
 
@@ -111,13 +112,14 @@ def test_engine_kernel_events_per_second(benchmark):
 
 
 def test_engine_kernel_schedulers_agree_on_event_count(benchmark):
-    """Both schedulers run the exact same event stream (the determinism
-    suite pins ordering; this pins the count at benchmark scale)."""
+    """The calendar queue and the reference heap oracle run the exact
+    same event stream (the determinism suite pins ordering; this pins the
+    count at benchmark scale)."""
 
     def run_both():
         counts = {}
-        for scheduler in ("calendar", "heap"):
-            sim = Simulator(scheduler=scheduler)
+        for scheduler, make in (("calendar", Simulator), ("heap", HeapSimulator)):
+            sim = make()
 
             def ticker(period):
                 d = delay(period)

@@ -70,7 +70,9 @@ class EthernetSwitch:
             self.flooded_drops += 1
             return
         # Serialization at gigabit speed through the switch fabric.
-        yield Delay(destination.frame_cycles(packet.frame_len))
+        cycles = destination.frame_cycles(packet.frame_len)
+        destination.expect(self.sim.now + cycles)
+        yield Delay(cycles)
         destination.deliver(packet)
         self.forwarded += 1
 

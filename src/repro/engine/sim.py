@@ -17,22 +17,16 @@ Ordering contract (relied on by every hardware model): events execute in
 particular, events scheduled for the same cycle run FIFO in the order
 they were scheduled, including events scheduled *during* that cycle.
 
-Two scheduler implementations provide this contract:
-
-* ``"calendar"`` (default) -- a two-tier structure: a calendar ring of
-  near-future cycle buckets (same-cycle wakes are O(1) appends, no heap
-  churn) backed by a binary heap for far-future events.
-* ``"heap"`` -- the original single binary heap, kept as a reference so
-  the determinism suite can assert both produce bit-identical runs.
-
-Select with ``Simulator(scheduler=...)`` or the ``REPRO_SIM_SCHEDULER``
-environment variable.
+The queue is a two-tier calendar: a ring of near-future cycle buckets
+(same-cycle wakes are O(1) appends, no heap churn) backed by a binary
+heap for far-future events.  The original single-heap scheduler lives in
+``tests/heap_oracle.py`` as the reference the determinism suite compares
+this one against.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
@@ -226,15 +220,10 @@ class Resource:
             self.in_use += 1
             proc._waiting_on = None
             sim = self.sim
-            if sim._use_ring:
-                bucket = sim._ring[sim.now & _RING_MASK]
-                if not bucket:
-                    heappush(sim._ring_cycles, sim.now)
-                bucket.append((proc, self))
-            else:
-                seq = sim._seq + 1
-                sim._seq = seq
-                heappush(sim._heap, (sim.now, seq, proc, self, None))
+            bucket = sim._ring[sim.now & _RING_MASK]
+            if not bucket:
+                heappush(sim._ring_cycles, sim.now)
+            bucket.append((proc, self))
         else:
             self.total_waits += 1
             self._queue.append((proc, self.sim.now))
@@ -248,15 +237,10 @@ class Resource:
             sim = self.sim
             self.total_wait_cycles += sim.now - enq_time
             proc._waiting_on = None
-            if sim._use_ring:
-                bucket = sim._ring[sim.now & _RING_MASK]
-                if not bucket:
-                    heappush(sim._ring_cycles, sim.now)
-                bucket.append((proc, self))
-            else:
-                seq = sim._seq + 1
-                sim._seq = seq
-                heappush(sim._heap, (sim.now, seq, proc, self, None))
+            bucket = sim._ring[sim.now & _RING_MASK]
+            if not bucket:
+                heappush(sim._ring_cycles, sim.now)
+            bucket.append((proc, self))
         else:
             self.in_use -= 1
 
@@ -343,13 +327,7 @@ class Simulator:
     same-cycle ties among heap entries only.
     """
 
-    def __init__(self, scheduler: Optional[str] = None):
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER", "calendar")
-        if scheduler not in ("calendar", "heap"):
-            raise SimulationError(f"unknown scheduler {scheduler!r} (use 'calendar' or 'heap')")
-        self.scheduler = scheduler
-        self._use_ring = scheduler == "calendar"
+    def __init__(self):
         # Observability sink (repro.obs).  The hot event loop never
         # consults it: hooks live only on process-lifecycle edges
         # (spawn/finish), so the disabled path costs nothing per event.
@@ -359,11 +337,16 @@ class Simulator:
         self._events_processed = 0
         self._stopped = False
         self._heap: List[tuple] = []
-        if self._use_ring:
-            self._ring: List[list] = [[] for __ in range(_RING_SIZE)]
-            # Min-heap of cycles that currently have a non-empty bucket;
-            # one entry per pending cycle, not per event.
-            self._ring_cycles: List[int] = []
+        self._ring: List[list] = [[] for __ in range(_RING_SIZE)]
+        # Min-heap of cycles that currently have a non-empty bucket;
+        # one entry per pending cycle, not per event.
+        self._ring_cycles: List[int] = []
+        #: Called (no arguments) every time :meth:`run` returns, after
+        #: the last event: models that keep counters in closed form
+        #: while they skip events (the parked input token ring) settle
+        #: them to ``now`` here, so code reading after a run sees exact
+        #: values.
+        self.return_hooks: List[Callable[[], None]] = []
 
     # -- event queue ------------------------------------------------------
 
@@ -372,7 +355,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         when = self.now + delay
-        if self._use_ring and delay < _RING_SIZE:
+        if delay < _RING_SIZE:
             bucket = self._ring[when & _RING_MASK]
             if not bucket:
                 heappush(self._ring_cycles, when)
@@ -383,9 +366,9 @@ class Simulator:
             heappush(self._heap, (when, seq, None, None, callback))
 
     def _schedule_step(self, delay: int, proc: "Process", value: Any) -> None:
-        """Schedule ``self._step(proc, value)`` without allocating a closure."""
+        """Schedule a resume of ``proc`` with ``value`` without allocating a closure."""
         when = self.now + delay
-        if self._use_ring and delay < _RING_SIZE:
+        if delay < _RING_SIZE:
             bucket = self._ring[when & _RING_MASK]
             if not bucket:
                 heappush(self._ring_cycles, when)
@@ -411,14 +394,15 @@ class Simulator:
         if gc_enabled:
             gc.disable()
         try:
-            if self._use_ring:
-                return self._run_ring(until, max_events)
-            return self._run_heap(until, max_events)
+            now = self._run_events(until, max_events)
         finally:
             if gc_enabled:
                 gc.enable()
+        for hook in self.return_hooks:
+            hook()
+        return now
 
-    def _run_ring(self, until: Optional[int], max_events: Optional[int]) -> int:
+    def _run_events(self, until: Optional[int], max_events: Optional[int]) -> int:
         heap = self._heap
         ring = self._ring
         cycles = self._ring_cycles
@@ -474,10 +458,10 @@ class Simulator:
                         matured.append((item[4], _CALLBACK))
                 bucket[:0] = matured
             # Drain the bucket FIFO; the list iterator picks up
-            # same-cycle wakes appended while draining.  The body of
-            # :meth:`_step` (and its Delay fast path) is inlined here --
-            # one generator resume plus a bucket append per event, with
-            # no intermediate Python calls.
+            # same-cycle wakes appended while draining.  Each process
+            # step (and its Delay fast path) is inlined here -- one
+            # generator resume plus a bucket append per event, with no
+            # intermediate Python calls.
             i = 0
             limited = False
             for proc, value in bucket:
@@ -532,32 +516,6 @@ class Simulator:
                 break
         return self.now
 
-    def _run_heap(self, until: Optional[int], max_events: Optional[int]) -> int:
-        heap = self._heap
-        step = self._step
-        count = 0
-        while heap and not self._stopped:
-            entry = heap[0]
-            when = entry[0]
-            if until is not None and when > until:
-                self.now = until
-                break
-            heappop(heap)
-            self.now = when
-            proc = entry[2]
-            if proc is not None:
-                step(proc, entry[3])
-            else:
-                entry[4]()
-            self._events_processed += 1
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
-        else:
-            if until is not None and not self._stopped:
-                self.now = max(self.now, until)
-        return self.now
-
     # -- processes --------------------------------------------------------
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
@@ -583,69 +541,18 @@ class Simulator:
 
     def _resume(self, proc: Process, value: Any) -> None:
         proc._waiting_on = None
-        if self._use_ring:
-            bucket = self._ring[self.now & _RING_MASK]
-            if not bucket:
-                heappush(self._ring_cycles, self.now)
-            bucket.append((proc, value))
-        else:
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(self._heap, (self.now, seq, proc, value, None))
+        bucket = self._ring[self.now & _RING_MASK]
+        if not bucket:
+            heappush(self._ring_cycles, self.now)
+        bucket.append((proc, value))
 
     def _resume_many(self, procs: List[Process], value: Any) -> None:
         """Wake a batch of processes at the current cycle in one pass,
         preserving their FIFO order (one bucket extension, no per-waiter
         heap traffic)."""
-        if self._use_ring:
-            bucket = self._ring[self.now & _RING_MASK]
-            if not bucket:
-                heappush(self._ring_cycles, self.now)
-            for proc in procs:
-                proc._waiting_on = None
-                bucket.append((proc, value))
-        else:
-            for proc in procs:
-                proc._waiting_on = None
-                self._schedule_step(0, proc, value)
-
-    def _step(self, proc: Process, value: Any) -> None:
-        if not proc._alive:
-            return
-        try:
-            if proc._interrupted:
-                proc._interrupted = False
-                command = proc.gen.throw(Interrupt(value))
-            else:
-                command = proc.gen.send(value)
-        except StopIteration as stop:
-            proc._finish(getattr(stop, "value", None))
-            return
-        except Interrupt:
-            proc._finish(None)
-            return
-        # Dispatch, most frequent command first.
-        if isinstance(command, Delay):
-            self._schedule_step(command.cycles, proc, None)
-        elif isinstance(command, _AcquireCommand):
-            command.resource._request(proc)
-        elif isinstance(command, (Event, Signal, Process)):
-            command._wait(proc)
-        else:
-            raise SimulationError(
-                f"process {proc.name!r} yielded unsupported command {command!r}"
-            )
-
-    def _dispatch(self, proc: Process, command: Any) -> None:
-        """Compatibility shim: dispatch one yielded command (the hot path
-        inlines this logic in :meth:`_step`)."""
-        if isinstance(command, Delay):
-            self._schedule_step(command.cycles, proc, None)
-        elif isinstance(command, _AcquireCommand):
-            command.resource._request(proc)
-        elif isinstance(command, (Event, Signal, Process)):
-            command._wait(proc)
-        else:
-            raise SimulationError(
-                f"process {proc.name!r} yielded unsupported command {command!r}"
-            )
+        bucket = self._ring[self.now & _RING_MASK]
+        if not bucket:
+            heappush(self._ring_cycles, self.now)
+        for proc in procs:
+            proc._waiting_on = None
+            bucket.append((proc, value))

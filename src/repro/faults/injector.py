@@ -398,6 +398,10 @@ class FaultInjector:
                         severity="green")
 
         self.sim.spawn(stall(), name=f"fault-mestall-me{engine.me_id}")
+        if engine.parking is not None:
+            # The seizure competes with the input ring for the core, so
+            # a parked ring must be spinning again when it fires.
+            engine.parking.announce(self.sim.now + max(1, at - self.sim.now))
 
     def schedule_engine_crash(self, engine, at: int, reboot_cycles: int) -> None:
         """A MicroEngine context crash with microcode reload: the engine

@@ -40,7 +40,8 @@ from repro.ixp.queues import (
     PacketQueue,
     QueueBank,
 )
-from repro.ixp.token_ring import TokenRing, interleave_across_engines
+from repro.ixp import token_ring
+from repro.ixp.token_ring import RingParking, TokenRing, interleave_across_engines
 from repro.net.mac import MACPort
 from repro.net.mp import mp_count as frame_mp_count
 from repro.net.mp import segment_packet
@@ -191,7 +192,8 @@ class _PortSource:
 
     def idle_wait(self, ctx: MicroContext):
         # Input contexts must keep spinning: the token rotation is fixed,
-        # so a sleeping member would stall the whole ring.
+        # so a sleeping member would stall the whole ring.  An idle ring
+        # as a whole is skipped by RingParking instead.
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -279,7 +281,6 @@ class IXP1200:
         self.sa_local_queue = PacketQueue(-2, -1, capacity=self.config.sa_queue_capacity)
         self.sa_pentium_queue = PacketQueue(-3, -1, capacity=self.config.sa_queue_capacity)
         self.sa_signal = self.sim.signal("sa-packet")
-        self.work_signal = self.sim.signal("queue-work")
 
         # Counters.
         self.counters: Dict[str, int] = {
@@ -400,6 +401,8 @@ class IXP1200:
         else:
             raise ValueError(f"unknown traffic mode {config.traffic!r}")
 
+        self.parking = self._make_parking(input_ctx, rotation)
+
         # Spawn the loops.
         loop = dram_direct_input_loop if config.dram_direct else input_loop
         for ctx in input_ctx:
@@ -409,6 +412,39 @@ class IXP1200:
         for i, ctx in enumerate(output_ctx):
             ports = [p for p in range(config.num_ports) if p % len(output_ctx) == i]
             self.sim.spawn(output_loop(ctx, self, ports), name=f"out-ctx{ctx.ctx_id}")
+
+    def _make_parking(self, input_ctx: List[MicroContext],
+                      rotation: Sequence[int]) -> Optional[RingParking]:
+        """Quiescence skipping for the input ring, where its closed form
+        is exact: real ports polled by :func:`input_loop` on engines that
+        run nothing but input contexts.  Synthetic traffic, the
+        DRAM-direct loop and shared engines keep spinning."""
+        if (not token_ring._PARKING or self.config.traffic != "ports"
+                or self.config.dram_direct or not input_ctx):
+            return None
+        by_id = {ctx.ctx_id: ctx for ctx in input_ctx}
+        engines = [by_id[cid].me for cid in rotation]
+        if any(c.ctx_id not in by_id for me in engines for c in me.contexts):
+            return None
+        swap = self.params.context_swap_cycles
+        check = self.params.cost.input_port_check
+        steps = ((0, swap), (swap, check), (swap + check, self.input_ring.pass_cycles))
+        ports = list(dict.fromkeys(self.source.port_of.values()))
+        parking = RingParking(self.input_ring, engines, ports, steps)
+        for me in parking.engines:
+            me.parking = parking
+        for port in ports:
+            port.parking = parking
+        self.sim.return_hooks.append(parking.settle_to_now)
+        return parking
+
+    def settle_counters(self) -> None:
+        """Bring the counters a parked input ring keeps in closed form
+        (token position, ``rotations``, input-engine ``busy_cycles``) up
+        to every step before the current cycle.  Readers inside a run
+        call this first; :meth:`Simulator.run` settles on return."""
+        if self.parking is not None:
+            self.parking.settle(self.sim.now - 1)
 
     # -- hooks used by the programs ----------------------------------------------
 
@@ -573,9 +609,7 @@ class IXP1200:
             rec.record(self.sim.now, "chip",
                        "requeue" if ok else "requeue_drop",
                        rec.packet_id(descriptor.packet), out_port)
-        if ok:
-            self.work_signal.fire()
-        else:
+        if not ok:
             self.counters["queue_drops"] += 1
         return ok
 
@@ -597,6 +631,7 @@ class IXP1200:
         return worst
 
     def start_window(self) -> None:
+        self.settle_counters()
         self._snapshot = dict(self.counters)
         self._window_start = self.sim.now
         self.dram.busy_cycles = 0
@@ -609,6 +644,7 @@ class IXP1200:
         return self.report()
 
     def report(self) -> Measurement:
+        self.settle_counters()
         window = self.sim.now - self._window_start
         delta = {k: self.counters[k] - self._snapshot.get(k, 0) for k in self.counters}
         return Measurement(

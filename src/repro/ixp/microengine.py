@@ -33,6 +33,11 @@ from repro.obs.recorder import NULL_RECORDER
 class MicroEngine:
     """One MicroEngine: a single-issue core shared by four contexts."""
 
+    #: The :class:`~repro.ixp.token_ring.RingParking` of the input ring
+    #: this engine runs, if any: it keeps ``busy_cycles`` in closed form
+    #: while the ring is parked, and takes notice of core seizures.
+    parking = None
+
     def __init__(self, sim: Simulator, me_id: int, params: IXPParams):
         self.sim = sim
         self.me_id = me_id
@@ -53,6 +58,8 @@ class MicroEngine:
     def utilization(self, window_cycles: int) -> float:
         if window_cycles <= 0:
             return 0.0
+        if self.parking is not None:
+            self.parking.settle(self.sim.now - 1)
         return min(1.0, self.busy_cycles / window_cycles)
 
 

@@ -180,7 +180,6 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     private_q = bank.input_discipline is InputDiscipline.PRIVATE
     input_queue_for = bank.input_queue_for
     bank_enqueue = bank.enqueue
-    work_signal = chip.work_signal
     m_enq_entry = _MemPlan(chip.sram, "write", "enqueue.entry")
     m_enq_ready = _MemPlan(scratch, "write", "enqueue.ready")
     enq_refs = (m_enq_entry, m_enq_ready)
@@ -193,6 +192,11 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     c_pass = input_ring.pass_cycles
     d_pass = delay(c_pass)
     token_name = f"token-{input_ring.name}-{cid}"
+    # A pass that completes a full rotation of empty polls offers to
+    # park the ring (see RingParking), at the cost of one int compare
+    # per empty poll; without parking the threshold is out of reach.
+    parking = chip.parking
+    park_after = ring_len if parking is not None else 1 << 62
     if MicroContext._IX_JITTER is None:
         MicroContext._IX_JITTER = AccessJitter()
     ixj = MicroContext._IX_JITTER
@@ -231,11 +235,14 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
             input_ring._holder_active = False
             input_ring._position = pos = (input_ring._position + 1) % ring_len
             input_ring.rotations += 1
-            event = ring_pop(ring_order[pos], None)
-            if event is not None and not event._done:
-                event.succeed()
+            input_ring.idle_polls = idle = input_ring.idle_polls + 1
+            if idle < park_after or not parking.try_park(core):
+                event = ring_pop(ring_order[pos], None)
+                if event is not None and not event._done:
+                    event.succeed()
             yield from source.idle_wait(ctx)
             continue
+        input_ring.idle_polls = 0
         rec = chip.recorder
         if rec.enabled and item.is_first and item.packet is not None:
             rec.record(sim.now, ctx._comp, "mac_in",
@@ -430,9 +437,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                             if c_swap:
                                 me.busy_cycles += c_swap
                                 yield d_swap
-                        if bank_enqueue(queue, descriptor):
-                            work_signal.fire()
-                        else:
+                        if not bank_enqueue(queue, descriptor):
                             chip.note_queue_drop(item)
                     else:
                         yield from _enqueue(ctx, chip, item, handle)
@@ -491,11 +496,8 @@ def _enqueue(ctx: MicroContext, chip, item: WorkItem, handle: BufferHandle) -> G
         yield from ctx.mem(chip.scratch, "write", "enqueue.tail")
         ctx.unlock(mutex)
         yield from ctx.mem(chip.scratch, "write", "enqueue.ready")
-    accepted = chip.bank.enqueue(queue, descriptor)
-    if not accepted:
+    if not chip.bank.enqueue(queue, descriptor):
         chip.note_queue_drop(item)
-    else:
-        chip.work_signal.fire()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import enum
 from collections import deque
 from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
-from repro.engine import Delay, Simulator, StatSet
+from repro.engine import Delay, SimulationError, Simulator, StatSet
 from repro.faults.injector import NULL_INJECTOR, RX_DROP, RX_DUPLICATE
 from repro.net.ethernet import wire_bits
 from repro.net.mp import MacPacket, reassemble_mps, segment_packet
@@ -43,6 +43,10 @@ class MACPort:
     #: check per delivered frame when injection is off.
     injector = NULL_INJECTOR
 
+    #: The :class:`~repro.ixp.token_ring.RingParking` of the input ring
+    #: that polls this port, if any (set by the chip).
+    parking = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -60,7 +64,6 @@ class MACPort:
         self.tx_partial: List[MacPacket] = []
         self.transmitted: List[Packet] = []
         self.stats = StatSet(f"port{port_id}")
-        self.data_signal = sim.signal(f"port{port_id}-data")
         self._tx_wire_free_at = 0
         self._source_proc = None
         # Called with (packet, frame_bytes) for every transmitted frame
@@ -81,13 +84,31 @@ class MACPort:
     def _rx_process(self, packets: Iterator[Packet]) -> Iterator:
         for packet in packets:
             frame = packet.to_bytes()
-            yield Delay(self.frame_cycles(len(frame) + 4))  # +FCS on the wire
+            cycles = self.frame_cycles(len(frame) + 4)  # +FCS on the wire
+            self.expect(self.sim.now + cycles)
+            yield Delay(cycles)
             packet.arrival_port = self.port_id
             self.deliver(packet, frame)
 
+    def expect(self, cycle: int) -> None:
+        """Announce a :meth:`deliver` call at ``cycle``.  Every caller
+        that schedules a delivery calls this as soon as it knows the
+        cycle, so a parked input ring resumes spinning before the frame
+        lands (see :class:`~repro.ixp.token_ring.RingParking`)."""
+        if self.parking is not None:
+            self.parking.announce(cycle)
+
     def deliver(self, packet: Packet, frame: Optional[bytes] = None) -> bool:
         """Immediate delivery of one frame (bypasses pacing).  Returns False
-        if the device buffer overflowed and the packet was dropped."""
+        if the device buffer overflowed and the packet was dropped.  The
+        call must have been announced with :meth:`expect` unless the
+        polling input ring is known to be spinning (e.g. at cycle 0)."""
+        parking = self.parking
+        if parking is not None and parking.parked:
+            raise SimulationError(
+                f"unannounced delivery to port {self.port_id} at cycle "
+                f"{self.sim.now} while its input ring is parked; call "
+                f"expect() when scheduling the delivery")
         duplicate = None
         inj = self.injector
         if inj.enabled:
@@ -111,7 +132,6 @@ class MACPort:
         self.rx_buffer.extend(mps)
         self.stats.counter("rx_packets").add()
         self.stats.counter("rx_mps").add(len(mps))
-        self.data_signal.fire()
         if duplicate is not None:
             self.deliver(duplicate, frame)
         return True

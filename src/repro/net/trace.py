@@ -89,6 +89,10 @@ def replay(router, records: Iterable[TraceRecord], time_scale: float = 1.0) -> N
 
     def player():
         start = router.sim.now
+        at = start
+        for record in ordered:
+            at = max(at, start + int(record.timestamp * time_scale))
+            router.ports[record.port].expect(at)
         for record in ordered:
             due = start + int(record.timestamp * time_scale)
             gap = due - router.sim.now

@@ -33,11 +33,13 @@ def chip_sampler(chip, recorder: Recorder, period: int = DEFAULT_SAMPLE_PERIOD) 
     d = delay(period)
     engines = [me for me in chip.engines if me.contexts]
     memories = [("dram", chip.dram), ("sram", chip.sram), ("scratch", chip.scratch)]
+    chip.settle_counters()
     last_me: List[int] = [me.busy_cycles for me in engines]
     last_mem: List[int] = [mem.busy_cycles for __, mem in memories]
     while True:
         yield d
         now = sim.now
+        chip.settle_counters()
         for i, me in enumerate(engines):
             busy = me.busy_cycles
             util = (busy - last_me[i]) / period

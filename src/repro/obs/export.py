@@ -51,7 +51,7 @@ def trace_hash(events: Iterable[TraceEvent]) -> str:
     """SHA-256 over the canonical rendering of the event stream.
 
     Same seed -> same simulation -> same hash; the determinism suite
-    asserts this across runs and across both schedulers.
+    asserts this across runs and against the reference heap scheduler.
     """
     digest = hashlib.sha256()
     for e in events:

@@ -17,7 +17,8 @@ control-plane          adjacency deaths / LSA retransmit storms         §4.1
 Each rule returns green / yellow / red.  Level *transitions* append to a
 structured incident log whose contents are deterministic: evaluations
 run at fixed simulation cycles, so the log is identical across runs and
-across both schedulers (enforced by ``tests/test_obs_monitor.py``).
+against the reference heap scheduler (enforced by
+``tests/test_obs_monitor.py``).
 
 ``python -m repro monitor <scenario>`` renders the health table and
 exits non-zero when any rule is red.
@@ -657,7 +658,7 @@ class MonitorResult:
 def monitor_scenario(name: str, window: int = 120_000, warmup: int = 20_000,
                      period: int = DEFAULT_PERIOD, sample_period: int = 2_000,
                      trace_capacity: int = 65_536,
-                     scheduler: Optional[str] = None,
+                     sim=None,
                      on_evaluate: Optional[Callable[[List[RuleResult]], None]] = None,
                      ) -> MonitorResult:
     """Run one profile scenario under the health watchdog.
@@ -668,7 +669,7 @@ def monitor_scenario(name: str, window: int = 120_000, warmup: int = 20_000,
     from repro.obs.profile import build_scenario
 
     run = build_scenario(name, sample_period=sample_period,
-                         trace_capacity=trace_capacity, scheduler=scheduler)
+                         trace_capacity=trace_capacity, sim=sim)
     sim = run.sim
     sim.run(until=sim.now + warmup)
     monitor = HealthMonitor(run.chip, run.recorder, router=run.router)

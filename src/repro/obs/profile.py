@@ -273,18 +273,18 @@ class ScenarioRun:
         return self.chip.sim
 
 
-def _make_sim(scheduler: Optional[str]):
+def _make_sim(sim=None):
     from repro.engine import Simulator
 
-    return Simulator(scheduler=scheduler)
+    return sim if sim is not None else Simulator()
 
 
 def _build_fastpath(sample_period: int, trace_capacity: int,
-                    scheduler: Optional[str] = None) -> ScenarioRun:
+                    sim=None) -> ScenarioRun:
     """The paper's base configuration (I.2 + O.1) under synthetic load."""
     from repro.ixp.chip import ChipConfig, IXP1200
 
-    chip = IXP1200(ChipConfig(), sim=_make_sim(scheduler))
+    chip = IXP1200(ChipConfig(), sim=_make_sim(sim))
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
@@ -295,13 +295,13 @@ def _build_fastpath(sample_period: int, trace_capacity: int,
 
 
 def _build_vrp(sample_period: int, trace_capacity: int,
-               scheduler: Optional[str] = None) -> ScenarioRun:
+               sim=None) -> ScenarioRun:
     """Fast path plus an 8-block VRP (Figure 9's mixed flavour), showing
     the VRP stage's SRAM traffic as a separate accounting row."""
     from repro.ixp.chip import ChipConfig, IXP1200
     from repro.ixp.programs import TimedVRP
 
-    chip = IXP1200(ChipConfig(vrp=TimedVRP.blocks(8)), sim=_make_sim(scheduler))
+    chip = IXP1200(ChipConfig(vrp=TimedVRP.blocks(8)), sim=_make_sim(sim))
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
@@ -312,7 +312,7 @@ def _build_vrp(sample_period: int, trace_capacity: int,
 
 
 def _build_overload(sample_period: int, trace_capacity: int,
-                    scheduler: Optional[str] = None) -> ScenarioRun:
+                    sim=None) -> ScenarioRun:
     """A deliberately unhealthy router: a 40-block VRP (400 register
     cycles + 40 SRAM transfers, far over the section 4.3 budget of
     240/24) on shallow queues with the single-port synthetic pattern.
@@ -327,7 +327,7 @@ def _build_overload(sample_period: int, trace_capacity: int,
             queue_capacity=32,
             synthetic_pattern="single",
         ),
-        sim=_make_sim(scheduler),
+        sim=_make_sim(sim),
     )
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
@@ -339,13 +339,13 @@ def _build_overload(sample_period: int, trace_capacity: int,
 
 
 def _build_router(sample_period: int, trace_capacity: int,
-                  scheduler: Optional[str] = None) -> ScenarioRun:
+                  sim=None) -> ScenarioRun:
     """The full hierarchy with real packets: MicroEngine fast path plus
     exceptional packets climbing to the StrongARM (route-cache misses)."""
     from repro.core.router import Router, RouterConfig
     from repro.net.traffic import flow_stream, round_robin_merge, take
 
-    router = Router(RouterConfig(num_ports=4), sim=_make_sim(scheduler))
+    router = Router(RouterConfig(num_ports=4), sim=_make_sim(sim))
     recorder = router.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
@@ -388,24 +388,24 @@ SCENARIO_DESCRIPTIONS: Dict[str, str] = {
 
 def build_scenario(name: str, sample_period: int = 2_000,
                    trace_capacity: int = 65_536,
-                   scheduler: Optional[str] = None) -> ScenarioRun:
+                   sim=None) -> ScenarioRun:
     """Construct one named scenario with observability attached, without
-    running it.  ``scheduler`` selects the event-queue implementation
-    (None = default), which the determinism tests vary."""
+    running it, on ``sim`` (default: a fresh simulator; the determinism
+    tests pass the reference heap scheduler here)."""
     try:
         builder = SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown profile scenario {name!r} (choose from {', '.join(SCENARIOS)})"
         ) from None
-    return builder(sample_period, trace_capacity, scheduler)
+    return builder(sample_period, trace_capacity, sim)
 
 
 def profile_scenario(name: str, window: int = 120_000, warmup: int = 20_000,
                      sample_period: int = 2_000,
                      trace_capacity: int = 65_536,
-                     scheduler: Optional[str] = None) -> ProfileResult:
+                     sim=None) -> ProfileResult:
     """Run one named scenario under full observability."""
-    run = build_scenario(name, sample_period, trace_capacity, scheduler)
+    run = build_scenario(name, sample_period, trace_capacity, sim)
     return _collect(run.chip, run.recorder, name, window, warmup,
                     extra_throughput=run.extra_throughput)

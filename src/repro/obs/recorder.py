@@ -12,7 +12,7 @@ Two implementations share one duck-typed API:
   per-queue depth time series sampled on enqueue/dequeue.
 
 Determinism contract: given a deterministic simulation, the recorded
-event stream is bit-identical across runs and across schedulers --
+event stream is bit-identical across runs and event-queue implementations --
 :func:`repro.obs.export.trace_hash` is the enforcement instrument
 (see ``tests/test_obs.py`` alongside ``tests/test_determinism.py``).
 """

@@ -98,11 +98,14 @@ def _line_rate_cycles(frame_len: int, bps: float = 100e6) -> int:
 class _End:
     """One attachment point of a link (a router port or a host NIC)."""
 
-    __slots__ = ("name", "deliver")
+    __slots__ = ("name", "deliver", "expect")
 
-    def __init__(self, name: str, deliver: Callable[[Packet, bytes], Any]):
+    def __init__(self, name: str, deliver: Callable[[Packet, bytes], Any],
+                 expect: Optional[Callable[[int], None]] = None):
         self.name = name
         self.deliver = deliver
+        #: announces a delivery cycle to a router port (None for hosts)
+        self.expect = expect
 
 
 class InterRouterLink:
@@ -228,7 +231,10 @@ class InterRouterLink:
                 tracer.on_link_arrive(self, dup)
             dest.deliver(dup, frame)
 
-        self.sim.schedule(max(1, done + self.latency - now), arrive)
+        lead = max(1, done + self.latency - now)
+        if dest.expect is not None:
+            dest.expect(now + lead)
+        self.sim.schedule(lead, arrive)
         return True
 
     def send_control(self, from_index: int, data: bytes, kind: str) -> bool:
@@ -628,7 +634,7 @@ class Topology:
                 else:
                     tracer.on_node_drop(node.name, packet)
 
-        return _End(f"{node.name}.p{port_id}", deliver)
+        return _End(f"{node.name}.p{port_id}", deliver, port.expect)
 
     def add_host(self, name: str, router, latency: int = 100,
                  bandwidth_bps: Optional[float] = None, loss: float = 0.0,

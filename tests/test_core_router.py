@@ -225,11 +225,14 @@ def test_bad_checksum_dropped_by_classifier():
 
     router.inject(9, iter(good))
     router.run(500_000)
-    # Hand-deliver the corrupted frame (to_bytes would fix the checksum).
+    # Hand-deliver the corrupted frame (to_bytes would fix the checksum),
+    # announced ahead like every scheduled delivery.
     eth = bad.eth.packed()
     ip_bytes = bad.ip.packed(fill_checksum=False)
     frame = eth + ip_bytes + bad.tcp.packed() + b"\x00" * 10
-    router.ports[9].deliver(bad, frame)
+    port = router.ports[9]
+    port.expect(router.sim.now + 1_000)
+    router.sim.schedule(1_000, lambda: port.deliver(bad, frame))
     router.run(2_000_000)
     assert router.stats()["classifier_failures"] == 1
     assert len(router.transmitted()) == 3  # only the good ones

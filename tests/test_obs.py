@@ -27,6 +27,7 @@ from repro.obs import (
     trace_hash,
     trace_to_csv,
 )
+from tests.heap_oracle import HeapSimulator
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +224,7 @@ def test_trace_hash_sensitive_to_content():
 # ---------------------------------------------------------------------------
 
 
-def _traced_chip_hash(scheduler: str, until: int = 12_000) -> str:
-    sim = Simulator(scheduler=scheduler)
+def _traced_chip_hash(sim: Simulator, until: int = 12_000) -> str:
     chip = IXP1200(ChipConfig(vrp=TimedVRP.blocks(4)), sim=sim)
     rec = chip.enable_observability(Recorder(), sample_period=1_000)
     sim.run(until=until)
@@ -232,11 +232,11 @@ def _traced_chip_hash(scheduler: str, until: int = 12_000) -> str:
 
 
 def test_trace_hash_identical_across_runs():
-    assert _traced_chip_hash("calendar") == _traced_chip_hash("calendar")
+    assert _traced_chip_hash(Simulator()) == _traced_chip_hash(Simulator())
 
 
 def test_trace_hash_identical_across_schedulers():
-    assert _traced_chip_hash("calendar") == _traced_chip_hash("heap")
+    assert _traced_chip_hash(Simulator()) == _traced_chip_hash(HeapSimulator())
 
 
 def test_trace_hash_golden():
@@ -244,7 +244,7 @@ def test_trace_hash_golden():
     ordering, hook placement, or the canonical hash encoding shows up
     here first.  If an *intentional* instrumentation change lands,
     re-pin the value (see docs/observability.md)."""
-    assert _traced_chip_hash("calendar") == (
+    assert _traced_chip_hash(Simulator()) == (
         "d1a3d2cacf452f1d326229ba7880794a15a8eb6a7c07aba7499f680e10de502f"
     )
 

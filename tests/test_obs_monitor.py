@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.engine import Simulator
 from repro.obs.monitor import (
     GREEN,
     RED,
@@ -25,6 +26,7 @@ from repro.obs.monitor import (
     default_rules,
     monitor_scenario,
 )
+from tests.heap_oracle import HeapSimulator
 
 # ---------------------------------------------------------------------------
 # Rule boundaries (synthesized samples)
@@ -216,14 +218,14 @@ def test_incident_log_identical_across_schedulers():
     cycles, rules, transitions, values -- is deterministic across both
     event-queue implementations."""
 
-    def run(scheduler):
+    def run(sim):
         result = monitor_scenario("overload", window=40_000, warmup=10_000,
-                                  scheduler=scheduler)
+                                  sim=sim)
         return (result.incidents,
                 [r.to_dict() for r in result.results],
                 result.monitor.evaluations)
 
-    assert run("calendar") == run("heap")
+    assert run(Simulator()) == run(HeapSimulator())
 
 
 def test_monitor_evaluate_uses_delta_windows():

@@ -286,7 +286,13 @@ def test_shared_injector_faults_do_not_alias_across_routers():
     from repro.net.packet import make_tcp_packet
 
     packet = make_tcp_packet("10.9.9.1", "10.9.9.2")
-    assert r2_node.port(0).deliver(packet, packet.to_bytes())
+    port = r2_node.port(0)
+    accepted = []
+    port.expect(topo.sim.now + 1_000)
+    topo.sim.schedule(1_000, lambda: accepted.append(
+        port.deliver(packet, packet.to_bytes())))
+    topo.run(1_000)
+    assert accepted == [True]
     assert r2_node.port(0).stats.counter("rx_fault_dropped").value == 0
     assert r2_node.port(0).stats.counter("rx_packets").value >= 1
 
